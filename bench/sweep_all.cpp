@@ -632,12 +632,10 @@ void write_bench_fleet_json(const FleetRunResult& r, int fleet_n,
        << "  \"merged\": " << r.merge.totals.merged << ",\n"
        << "  \"duplicates\": " << r.merge.totals.duplicates << ",\n"
        << "  \"conflicts\": " << r.merge.totals.conflicts << ",\n"
-       << "  \"fleet_s\": " << r.wall_s;
-  if (inproc_s > 0) {
-    json << ",\n  \"inprocess_s\": " << inproc_s
-         << ",\n  \"single_worker_overhead\": " << overhead;
-  }
-  json << "\n}\n";
+       << "  \"fleet_s\": " << r.wall_s << ",\n"
+       << "  \"inprocess_s\": " << inproc_s << ",\n"
+       << "  \"single_worker_overhead\": " << overhead << "\n"
+       << "}\n";
 }
 
 void print_fleet_accounting(const FleetRunResult& r, int fleet_n) {
@@ -694,7 +692,6 @@ int run_fleet_mode(int fleet_n, bool kill_one, std::optional<Model> model,
   const FleetRunResult r =
       run_fleet(fleet_n, kill_one, model, algo, reps, workers, smoke);
   print_fleet_accounting(r, fleet_n);
-  write_bench_fleet_json(r, fleet_n, 0, 0, "fleet-run");
   obs::telemetry_stop();
   fleet_shape_checks(r);
   return bench::exit_code();

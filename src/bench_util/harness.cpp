@@ -245,7 +245,8 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   // constructed inside the variants) read the global flag.
   racecheck::ScopedEnable rc_scope(opts.racecheck);
   const auto selected = Registry::instance().select(opts.model, opts.algo);
-  graphs();  // materialize any deferred inputs before enumerating pairs
+  // Materializes any deferred inputs before enumerating pairs.
+  const std::vector<Graph>& inputs = graphs();
   struct Pair {
     const Variant* v;
     const Graph* g;
@@ -254,8 +255,8 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
   std::vector<Pair> pairs;
   for (const Variant* v : selected) {
     if (opts.style_filter && !opts.style_filter(*v)) continue;
-    for (std::size_t gi = 0; gi < graphs_.size(); ++gi) {
-      pairs.push_back({v, &graphs_[gi], gi});
+    for (std::size_t gi = 0; gi < inputs.size(); ++gi) {
+      pairs.push_back({v, &inputs[gi], gi});
     }
   }
 

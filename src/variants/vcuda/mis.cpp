@@ -62,23 +62,23 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
     const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
       if (use_lane_loop()) {
-        blk.for_each_warp([&](vcuda::WarpCtx& w) {
-          for_items_warp<C.pers>(
-              w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                vcuda::LaneVec<std::uint32_t> vals;
-                w.for_lanes(mask, [&](int l) {
-                  vals[l] = vbase + static_cast<std::uint32_t>(l);
-                });
-                wl_in.st_warp_c(w, mask, vbase, vals.v);
+        for_items_warp_region<C.pers>(
+            blk, n,
+            [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                std::uint32_t vbase) {
+              vcuda::LaneVec<std::uint32_t> vals;
+              w.for_lanes(mask, [&](int l) {
+                vals[l] = vbase + static_cast<std::uint32_t>(l);
               });
-        });
+              wl_in.st_warp_c(w, mask, vbase, vals.v);
+            });
       } else {
-        blk.for_each_thread([&](vcuda::Thread& t) {
-          for_items<Granularity::Thread, C.pers>(
-              t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                wl_in.st(t, v, v);
-              });
-        });
+        for_items_region<Granularity::Thread, C.pers>(
+            blk, n,
+            [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t,
+                std::uint32_t) {
+              wl_in.st(t, v, v);
+            });
       }
     });
     in_size = n;
@@ -99,21 +99,21 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid, kBD, [&](vcuda::Block& blk) {
         if (use_lane_loop()) {
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                  vcuda::LaneVec<std::uint32_t> vals;
-                  cur.ld_warp_c(w, mask, vbase, vals.v);
-                  nxt.st_warp_c(w, mask, vbase, vals.v);
-                });
-          });
+          for_items_warp_region<C.pers>(
+              blk, n,
+              [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                  std::uint32_t vbase) {
+                vcuda::LaneVec<std::uint32_t> vals;
+                cur.ld_warp_c(w, mask, vbase, vals.v);
+                nxt.st_warp_c(w, mask, vbase, vals.v);
+              });
         } else {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<Granularity::Thread, C.pers>(
-                t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  nxt.st(t, v, cur.ld(t, v));
-                });
-          });
+          for_items_region<Granularity::Thread, C.pers>(
+              blk, n,
+              [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t,
+                  std::uint32_t) {
+                nxt.st(t, v, cur.ld(t, v));
+              });
         }
       });
     }
@@ -128,22 +128,22 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       // loads observe each other's same-region stores in per-lane order.
       const std::uint32_t grid1 = grid_for<kGran, C.pers>(dev, m);
       dev.launch(grid1, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_thread([&](vcuda::Thread& t) {
-          for_items<kGran, C.pers>(
-              t, m, [&](std::uint32_t e, std::uint32_t, std::uint32_t) {
-                const vid_t a = srcl.ld(t, e), b = col.ld(t, e);
-                const vid_t from = kPull ? b : a;
-                const vid_t to = kPull ? a : b;
-                const std::uint32_t sf = O::ld(t, cur, from);
-                if (O::ld(t, cur, to) != kMisUndecided) return;
-                if (sf == kMisIn) {
-                  O::st(t, nxt, to, kMisOut);
-                  O::st(t, changed, 0, 1u);
-                } else if (sf != kMisOut && mis_beats(from, to)) {
-                  O::st(t, blocked, to, itr);
-                }
-              });
-        });
+        for_items_region<kGran, C.pers>(
+            blk, m,
+            [&](vcuda::Thread& t, std::uint32_t e, std::uint32_t,
+                std::uint32_t) {
+              const vid_t a = srcl.ld(t, e), b = col.ld(t, e);
+              const vid_t from = kPull ? b : a;
+              const vid_t to = kPull ? a : b;
+              const std::uint32_t sf = O::ld(t, cur, from);
+              if (O::ld(t, cur, to) != kMisUndecided) return;
+              if (sf == kMisIn) {
+                O::st(t, nxt, to, kMisOut);
+                O::st(t, changed, 0, 1u);
+              } else if (sf != kMisOut && mis_beats(from, to)) {
+                O::st(t, blocked, to, itr);
+              }
+            });
       });
       // Kernel 2 over vertices: unblocked survivors join. The guard chain
       // is a pure prefix-exit sequence over lane-owned slots, so the
@@ -152,43 +152,43 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       dev.launch(grid2, kBD, [&](vcuda::Block& blk) {
         if (use_lane_loop()) {
           using WO = WOps<C.alib>;
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, n, [&](vcuda::WarpCtx::Mask m0, std::uint32_t vbase) {
-                  vcuda::LaneVec<std::uint32_t> v, sv;
-                  w.for_lanes(m0, [&](int l) {
-                    v[l] = vbase + static_cast<std::uint32_t>(l);
-                  });
-                  WO::ld(w, m0, cur, v.v, sv.v);
-                  const auto m1 = w.where(
-                      m0, [&](int l) { return sv[l] == kMisUndecided; });
-                  WO::ld(w, m1, nxt, v.v, sv.v);
-                  const auto m2 = w.where(
-                      m1, [&](int l) { return sv[l] == kMisUndecided; });
-                  WO::ld(w, m2, blocked, v.v, sv.v);
-                  const auto m3 =
-                      w.where(m2, [&](int l) { return sv[l] != itr; });
-                  vcuda::LaneVec<std::uint32_t> in, one, zero;
-                  w.for_lanes(m3, [&](int l) {
-                    in[l] = kMisIn;
-                    one[l] = 1u;
-                    zero[l] = 0u;
-                  });
-                  WO::st(w, m3, nxt, v.v, in.v);
-                  WO::st(w, m3, changed, zero.v, one.v);
+          for_items_warp_region<C.pers>(
+              blk, n,
+              [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m0,
+                  std::uint32_t vbase) {
+                vcuda::LaneVec<std::uint32_t> v, sv;
+                w.for_lanes(m0, [&](int l) {
+                  v[l] = vbase + static_cast<std::uint32_t>(l);
                 });
-          });
+                WO::ld(w, m0, cur, v.v, sv.v);
+                const auto m1 = w.where(
+                    m0, [&](int l) { return sv[l] == kMisUndecided; });
+                WO::ld(w, m1, nxt, v.v, sv.v);
+                const auto m2 = w.where(
+                    m1, [&](int l) { return sv[l] == kMisUndecided; });
+                WO::ld(w, m2, blocked, v.v, sv.v);
+                const auto m3 =
+                    w.where(m2, [&](int l) { return sv[l] != itr; });
+                vcuda::LaneVec<std::uint32_t> in, one, zero;
+                w.for_lanes(m3, [&](int l) {
+                  in[l] = kMisIn;
+                  one[l] = 1u;
+                  zero[l] = 0u;
+                });
+                WO::st(w, m3, nxt, v.v, in.v);
+                WO::st(w, m3, changed, zero.v, one.v);
+              });
         } else {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<Granularity::Thread, C.pers>(
-                t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  if (O::ld(t, cur, v) != kMisUndecided) return;
-                  if (O::ld(t, nxt, v) != kMisUndecided) return;
-                  if (O::ld(t, blocked, v) == itr) return;
-                  O::st(t, nxt, v, kMisIn);
-                  O::st(t, changed, 0, 1u);
-                });
-          });
+          for_items_region<Granularity::Thread, C.pers>(
+              blk, n,
+              [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t,
+                  std::uint32_t) {
+                if (O::ld(t, cur, v) != kMisUndecided) return;
+                if (O::ld(t, nxt, v) != kMisUndecided) return;
+                if (O::ld(t, blocked, v) == itr) return;
+                O::st(t, nxt, v, kMisIn);
+                O::st(t, changed, 0, 1u);
+              });
         }
       });
     } else if constexpr (kGran == Granularity::Thread) {
@@ -204,47 +204,47 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
       // op streams diverge mid-stream, so there is no common batch structure
       // and no bit-identical lane-loop form (see docs/VCUDA_MODEL.md).
       dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_thread([&](vcuda::Thread& t) {
-          for_items<kGran, C.pers>(
-              t, items, [&](std::uint32_t i, std::uint32_t, std::uint32_t) {
-                const vid_t v = kData ? wl_in.ld(t, i) : i;
-                if (O::ld(t, cur, v) != kMisUndecided) return;
-                const std::uint32_t beg = row.ld(t, v);
-                const std::uint32_t end = row.ld(t, v + 1);
-                bool has_in = false, is_blocked = false;
-                for (std::uint32_t e = beg; e < end; ++e) {
-                  const vid_t u = col.ld(t, e);
-                  const std::uint32_t su = O::ld(t, cur, u);
-                  if (su == kMisIn) {
-                    has_in = true;
-                    break;
-                  }
-                  if (su != kMisOut && mis_beats(u, v)) is_blocked = true;
+        for_items_region<kGran, C.pers>(
+            blk, items,
+            [&](vcuda::Thread& t, std::uint32_t i, std::uint32_t,
+                std::uint32_t) {
+              const vid_t v = kData ? wl_in.ld(t, i) : i;
+              if (O::ld(t, cur, v) != kMisUndecided) return;
+              const std::uint32_t beg = row.ld(t, v);
+              const std::uint32_t end = row.ld(t, v + 1);
+              bool has_in = false, is_blocked = false;
+              for (std::uint32_t e = beg; e < end; ++e) {
+                const vid_t u = col.ld(t, e);
+                const std::uint32_t su = O::ld(t, cur, u);
+                if (su == kMisIn) {
+                  has_in = true;
+                  break;
                 }
-                if (has_in) {
-                  O::st(t, nxt, v, kMisOut);
-                  O::st(t, changed, 0, 1u);
-                  return;
-                }
-                if (is_blocked) {
-                  if constexpr (kData) {  // still undecided: requeue
-                    if (O::fetch_max(t, stat, v, itr) != itr) {
-                      const std::uint32_t idx =
-                          O::fetch_add(t, wl_size, 0, 1u);
-                      wl_out.st(t, idx, v);
-                    }
-                  }
-                  return;
-                }
-                O::st(t, nxt, v, kMisIn);
+                if (su != kMisOut && mis_beats(u, v)) is_blocked = true;
+              }
+              if (has_in) {
+                O::st(t, nxt, v, kMisOut);
                 O::st(t, changed, 0, 1u);
-                if constexpr (!kPull) {
-                  for (std::uint32_t e = beg; e < end; ++e) {
-                    O::st(t, nxt, col.ld(t, e), kMisOut);
+                return;
+              }
+              if (is_blocked) {
+                if constexpr (kData) {  // still undecided: requeue
+                  if (O::fetch_max(t, stat, v, itr) != itr) {
+                    const std::uint32_t idx =
+                        O::fetch_add(t, wl_size, 0, 1u);
+                    wl_out.st(t, idx, v);
                   }
                 }
-              });
-        });
+                return;
+              }
+              O::st(t, nxt, v, kMisIn);
+              O::st(t, changed, 0, 1u);
+              if constexpr (!kPull) {
+                for (std::uint32_t e = beg; e < end; ++e) {
+                  O::st(t, nxt, col.ld(t, e), kMisOut);
+                }
+              }
+            });
       });
       if constexpr (kData) {
         in_size = size_h[0];
@@ -272,6 +272,10 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
         auto blkd = blk.shared_array<std::uint32_t>(groups_per_block);
         auto entered = blk.shared_array<std::uint32_t>(groups_per_block);
         for (std::uint32_t batch = 0; batch < batches; ++batch) {
+          // Threads of the groups that own an item in this batch; region A
+          // stays unbounded because every leader charges its flag reset.
+          const std::uint32_t live =
+              batch_live_threads<kGran>(items, batch, groups_total);
           // Lane-loop twin of the four-region pipeline below. Region B's
           // data-dependent break (a lane that sees an In neighbour leaves
           // the scan) maps onto edge_walk's mask refinement: the body drops
@@ -300,7 +304,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             });
             blk.sync();
             // Region B: strided neighbourhood scan (ragged edge walk).
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            blk.for_each_warp(live, [&](vcuda::WarpCtx& w) {
               std::uint32_t gib = 0;
               const std::uint32_t item = warp_item(w, gib);
               if (item >= items) return;
@@ -347,7 +351,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             blk.sync();
             // Region C: leader decision (singleton batches reproduce the
             // per-lane leader's op-for-op stream).
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            blk.for_each_warp(live, [&](vcuda::WarpCtx& w) {
               std::uint32_t gib = 0;
               const std::uint32_t item = warp_item(w, gib);
               if (!kWarpG && w.tid(0) != 0) return;
@@ -400,7 +404,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
             blk.sync();
             // Region D (push): the whole group knocks the neighbours out.
             if constexpr (!kPull) {
-              blk.for_each_warp([&](vcuda::WarpCtx& w) {
+              blk.for_each_warp(live, [&](vcuda::WarpCtx& w) {
                 std::uint32_t gib = 0;
                 const std::uint32_t item = warp_item(w, gib);
                 if (item >= items || entered[gib] == 0) return;
@@ -459,7 +463,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
           });
           blk.sync();
           // Region B: strided neighbourhood scan.
-          blk.for_each_thread([&](vcuda::Thread& t) {
+          blk.for_each_thread(live, [&](vcuda::Thread& t) {
             std::uint32_t gib = 0;
             const std::uint32_t item = group_item(t, gib);
             if (item >= items) return;
@@ -487,7 +491,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
           });
           blk.sync();
           // Region C: leader decision.
-          blk.for_each_thread([&](vcuda::Thread& t) {
+          blk.for_each_thread(live, [&](vcuda::Thread& t) {
             std::uint32_t gib = 0;
             const std::uint32_t item = group_item(t, gib);
             const bool leader = kWarpG ? t.lane() == 0 : t.thread_idx() == 0;
@@ -515,7 +519,7 @@ RunResult mis_run(const Graph& g, const RunOptions& opts) {
           blk.sync();
           // Region D (push): the whole group knocks the neighbours out.
           if constexpr (!kPull) {
-            blk.for_each_thread([&](vcuda::Thread& t) {
+            blk.for_each_thread(live, [&](vcuda::Thread& t) {
               std::uint32_t gib = 0;
               const std::uint32_t item = group_item(t, gib);
               if (item >= items || entered[gib] == 0) return;

@@ -102,12 +102,12 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       // broadcast store — runs in lane-loop form (see WarpCtx).
       const std::uint32_t grid0 = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid0, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_warp([&](vcuda::WarpCtx& w) {
-          for_items_warp<C.pers>(
-              w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                nxt.st_warp_cv(w, mask, vbase, base);
-              });
-        });
+        for_items_warp_region<C.pers>(
+            blk, n,
+            [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                std::uint32_t vbase) {
+              nxt.st_warp_cv(w, mask, vbase, base);
+            });
       });
       // Kernel 2: scatter shares along edges (granularity under study).
       // Stays per-lane: the float atomic_adds scatter onto shared targets
@@ -118,21 +118,20 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
       // is exactly what bit-identity testing must not lean on.
       const std::uint32_t grid1 = grid_for<C.gran, C.pers>(dev, n);
       dev.launch(grid1, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_thread([&](vcuda::Thread& t) {
-          for_items<C.gran, C.pers>(
-              t, n,
-              [&](std::uint32_t v, std::uint32_t off, std::uint32_t stride) {
-                const std::uint32_t beg = row.ld(t, v);
-                const std::uint32_t end = row.ld(t, v + 1);
-                if (beg == end) return;
-                const float share = static_cast<float>(kPrDamping) *
-                                    cur.ld(t, v) /
-                                    static_cast<float>(end - beg);
-                for (std::uint32_t e = beg + off; e < end; e += stride) {
-                  nxt.atomic_add(t, col.ld(t, e), share);
-                }
-              });
-        });
+        for_items_region<C.gran, C.pers>(
+            blk, n,
+            [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t off,
+                std::uint32_t stride) {
+              const std::uint32_t beg = row.ld(t, v);
+              const std::uint32_t end = row.ld(t, v + 1);
+              if (beg == end) return;
+              const float share = static_cast<float>(kPrDamping) *
+                                  cur.ld(t, v) /
+                                  static_cast<float>(end - beg);
+              for (std::uint32_t e = beg + off; e < end; e += stride) {
+                nxt.atomic_add(t, col.ld(t, e), share);
+              }
+            });
       });
       // Kernel 3: residual with the reduction style (thread granularity;
       // an elementwise map regardless of the gather/scatter granularity).
@@ -152,29 +151,29 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
         auto slots = blk.shared_array<double>(kBD);
         auto block_ctr = blk.shared_array<double>(1);
         if (kResidLaneLoop && use_lane_loop()) {
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t vbase) {
-                  vcuda::LaneVec<float> nv, cv;
-                  nxt.ld_warp_c(w, mask, vbase, nv.v);
-                  cur.ld_warp_c(w, mask, vbase, cv.v);
-                  vcuda::LaneVec<double> delta;
-                  w.for_lanes(mask, [&](int l) {
-                    delta[l] =
-                        std::abs(static_cast<double>(nv[l]) - cv[l]);
-                  });
-                  fold_w(w, blk, mask, slots, block_ctr[0], delta);
+          for_items_warp_region<C.pers>(
+              blk, n,
+              [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                  std::uint32_t vbase) {
+                vcuda::LaneVec<float> nv, cv;
+                nxt.ld_warp_c(w, mask, vbase, nv.v);
+                cur.ld_warp_c(w, mask, vbase, cv.v);
+                vcuda::LaneVec<double> delta;
+                w.for_lanes(mask, [&](int l) {
+                  delta[l] =
+                      std::abs(static_cast<double>(nv[l]) - cv[l]);
                 });
-          });
+                fold_w(w, blk, mask, slots, block_ctr[0], delta);
+              });
         } else {
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<Granularity::Thread, C.pers>(
-                t, n, [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  const double delta = std::abs(
-                      static_cast<double>(nxt.ld(t, v)) - cur.ld(t, v));
-                  fold(t, slots, block_ctr[0], blk, delta);
-                });
-          });
+          for_items_region<Granularity::Thread, C.pers>(
+              blk, n,
+              [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t,
+                  std::uint32_t) {
+                const double delta = std::abs(
+                    static_cast<double>(nxt.ld(t, v)) - cur.ld(t, v));
+                fold(t, slots, block_ctr[0], blk, delta);
+              });
         }
         epilogue(blk, slots, block_ctr[0]);
       });
@@ -202,28 +201,27 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
           // engine groups accesses by op index; a lane-loop body would have
           // to batch the tails together, regrouping the accesses and
           // changing what coalesces — not bit-identical by construction.
-          blk.for_each_thread([&](vcuda::Thread& t) {
-            for_items<C.gran, C.pers>(
-                t, n,
-                [&](std::uint32_t v, std::uint32_t, std::uint32_t) {
-                  double sum = 0.0;
-                  const std::uint32_t beg = row.ld(t, v);
-                  const std::uint32_t end = row.ld(t, v + 1);
-                  for (std::uint32_t e = beg; e < end; ++e) {
-                    const vid_t u = col.ld(t, e);
-                    const std::uint32_t du =
-                        row.ld(t, u + 1) - row.ld(t, u);
-                    sum += static_cast<double>(cur.ld(t, u)) / du;
-                    t.work(2);
-                  }
-                  const auto fresh =
-                      static_cast<float>(base + kPrDamping * sum);
-                  const double delta = std::abs(
-                      static_cast<double>(fresh) - cur.ld(t, v));
-                  nxt.st(t, v, fresh);
-                  fold(t, slots, block_ctr[0], blk, delta);
-                });
-          });
+          for_items_region<C.gran, C.pers>(
+              blk, n,
+              [&](vcuda::Thread& t, std::uint32_t v, std::uint32_t,
+                  std::uint32_t) {
+                double sum = 0.0;
+                const std::uint32_t beg = row.ld(t, v);
+                const std::uint32_t end = row.ld(t, v + 1);
+                for (std::uint32_t e = beg; e < end; ++e) {
+                  const vid_t u = col.ld(t, e);
+                  const std::uint32_t du =
+                      row.ld(t, u + 1) - row.ld(t, u);
+                  sum += static_cast<double>(cur.ld(t, u)) / du;
+                  t.work(2);
+                }
+                const auto fresh =
+                    static_cast<float>(base + kPrDamping * sum);
+                const double delta = std::abs(
+                    static_cast<double>(fresh) - cur.ld(t, v));
+                nxt.st(t, v, fresh);
+                fold(t, slots, block_ctr[0], blk, delta);
+              });
           epilogue(blk, slots, block_ctr[0]);
         } else if (use_lane_loop()) {
           // Lane-loop twin of the W/B pipeline below. Region A is a
@@ -234,8 +232,11 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
           auto partials = blk.shared_array<double>(kBD);
           const std::uint32_t stride = kWarpG ? kWS : kBD;
           for (std::uint32_t batch = 0; batch < batches; ++batch) {
+            // Threads of the groups that own a vertex in this batch.
+            const std::uint32_t live =
+                batch_live_threads<C.gran>(n, batch, groups_total);
             // Region A: strided partial sums.
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            blk.for_each_warp(live, [&](vcuda::WarpCtx& w) {
               const vcuda::WarpCtx::Mask all = w.full();
               w.for_lanes(all, [&](int l) { partials[w.tid(l)] = 0.0; });
               const std::uint32_t group =
@@ -279,7 +280,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
             });
             blk.sync();
             // Region B: group leaders combine and write the fresh score.
-            blk.for_each_warp([&](vcuda::WarpCtx& w) {
+            blk.for_each_warp(live, [&](vcuda::WarpCtx& w) {
               if (!kWarpG && w.tid(0) != 0) return;  // block leader only
               const std::uint32_t group =
                   (kWarpG ? w.gidx_base() / kWS : w.block_idx()) +
@@ -315,8 +316,11 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
         } else {
           auto partials = blk.shared_array<double>(kBD);
           for (std::uint32_t batch = 0; batch < batches; ++batch) {
+            // Threads of the groups that own a vertex in this batch.
+            const std::uint32_t live =
+                batch_live_threads<C.gran>(n, batch, groups_total);
             // Region A: strided partial sums.
-            blk.for_each_thread([&](vcuda::Thread& t) {
+            blk.for_each_thread(live, [&](vcuda::Thread& t) {
               partials[t.thread_idx()] = 0.0;
               const std::uint32_t group =
                   (kWarpG ? t.gidx() / kWS : t.block_idx()) +
@@ -340,7 +344,7 @@ RunResult pr_run(const Graph& g, const RunOptions& opts) {
             });
             blk.sync();
             // Region B: group leaders combine and write the fresh score.
-            blk.for_each_thread([&](vcuda::Thread& t) {
+            blk.for_each_thread(live, [&](vcuda::Thread& t) {
               const bool leader =
                   kWarpG ? t.lane() == 0 : t.thread_idx() == 0;
               if (!leader) return;

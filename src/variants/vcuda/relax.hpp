@@ -79,18 +79,18 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
   {
     const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
     dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-      blk.for_each_warp([&](vcuda::WarpCtx& w) {
-        for_items_warp<C.pers>(
-            w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t base) {
-              vcuda::LaneVec<std::uint32_t> init;
-              w.for_lanes(mask, [&](int l) {
-                init[l] = Problem::init(base + static_cast<std::uint32_t>(l),
-                                        source);
-              });
-              cur.st_warp_c(w, mask, base, init.v);
-              if constexpr (kDet) nxt.st_warp_c(w, mask, base, init.v);
+      for_items_warp_region<C.pers>(
+          blk, n,
+          [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+              std::uint32_t base) {
+            vcuda::LaneVec<std::uint32_t> init;
+            w.for_lanes(mask, [&](int l) {
+              init[l] = Problem::init(base + static_cast<std::uint32_t>(l),
+                                      source);
             });
-      });
+            cur.st_warp_c(w, mask, base, init.v);
+            if constexpr (kDet) nxt.st_warp_c(w, mask, base, init.v);
+          });
     });
   }
   // --- seed worklist -------------------------------------------------------
@@ -100,16 +100,16 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       const std::uint32_t grid =
           grid_for<Granularity::Thread, C.pers>(dev, items);
       dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_warp([&](vcuda::WarpCtx& w) {
-          for_items_warp<C.pers>(
-              w, items, [&](vcuda::WarpCtx::Mask mask, std::uint32_t base) {
-                vcuda::LaneVec<std::uint32_t> iota;
-                w.for_lanes(mask, [&](int l) {
-                  iota[l] = base + static_cast<std::uint32_t>(l);
-                });
-                wl_in.st_warp_c(w, mask, base, iota.v);
+        for_items_warp_region<C.pers>(
+            blk, items,
+            [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                std::uint32_t base) {
+              vcuda::LaneVec<std::uint32_t> iota;
+              w.for_lanes(mask, [&](int l) {
+                iota[l] = base + static_cast<std::uint32_t>(l);
               });
-        });
+              wl_in.st_warp_c(w, mask, base, iota.v);
+            });
       });
       in_size = items;
     } else {
@@ -232,14 +232,14 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       // Lane-loop: cur is read-only here and nxt's stores are disjoint.
       const std::uint32_t grid = grid_for<Granularity::Thread, C.pers>(dev, n);
       dev.launch(grid, kBD, [&](vcuda::Block& blk) {
-        blk.for_each_warp([&](vcuda::WarpCtx& w) {
-          for_items_warp<C.pers>(
-              w, n, [&](vcuda::WarpCtx::Mask mask, std::uint32_t base) {
-                vcuda::LaneVec<std::uint32_t> vals;
-                cur.ld_warp_c(w, mask, base, vals.v);
-                nxt.st_warp_c(w, mask, base, vals.v);
-              });
-        });
+        for_items_warp_region<C.pers>(
+            blk, n,
+            [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                std::uint32_t base) {
+              vcuda::LaneVec<std::uint32_t> vals;
+              cur.ld_warp_c(w, mask, base, vals.v);
+              nxt.st_warp_c(w, mask, base, vals.v);
+            });
       });
     }
     std::uint32_t items = 0;
@@ -273,46 +273,45 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
       if constexpr (kProcLaneLoop) {
         if (use_lane_loop()) {
           using WO = WOps<C.alib>;
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, items, [&](vcuda::WarpCtx::Mask m0, std::uint32_t base) {
-                  vcuda::LaneVec<std::uint32_t> ev, av, bv, dv, wv, ndv, oldv;
-                  w.for_lanes(m0, [&](int l) {
-                    ev[l] = base + static_cast<std::uint32_t>(l);
-                  });
-                  srcl.ld_warp(w, m0, ev.v, av.v);
-                  col.ld_warp(w, m0, ev.v, bv.v);
-                  // Pull relaxes arc-dst into arc-src; push the reverse.
-                  auto& fromv = kPull ? bv : av;
-                  auto& tov = kPull ? av : bv;
-                  WO::ld(w, m0, cur, fromv.v, dv.v);
-                  const auto m1 =
-                      w.where(m0, [&](int l) { return dv[l] != kInfDist; });
-                  wts.ld_warp(w, m1, ev.v, wv.v);
-                  w.for_lanes(m1, [&](int l) {
-                    ndv[l] = Problem::relax(dv[l], wv[l]);
-                  });
-                  WO::fetch_min(w, m1, nxt, tov.v, ndv.v, oldv.v);
-                  const auto m2 =
-                      w.where(m1, [&](int l) { return ndv[l] < oldv[l]; });
-                  vcuda::LaneVec<std::uint32_t> zero, one;
-                  w.for_lanes(m2, [&](int l) {
-                    zero[l] = 0;
-                    one[l] = 1u;
-                  });
-                  WO::st(w, m2, changed, zero.v, one.v);
+          for_items_warp_region<C.pers>(
+              blk, items,
+              [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask m0,
+                  std::uint32_t base) {
+                vcuda::LaneVec<std::uint32_t> ev, av, bv, dv, wv, ndv, oldv;
+                w.for_lanes(m0, [&](int l) {
+                  ev[l] = base + static_cast<std::uint32_t>(l);
                 });
-          });
+                srcl.ld_warp(w, m0, ev.v, av.v);
+                col.ld_warp(w, m0, ev.v, bv.v);
+                // Pull relaxes arc-dst into arc-src; push the reverse.
+                auto& fromv = kPull ? bv : av;
+                auto& tov = kPull ? av : bv;
+                WO::ld(w, m0, cur, fromv.v, dv.v);
+                const auto m1 =
+                    w.where(m0, [&](int l) { return dv[l] != kInfDist; });
+                wts.ld_warp(w, m1, ev.v, wv.v);
+                w.for_lanes(m1, [&](int l) {
+                  ndv[l] = Problem::relax(dv[l], wv[l]);
+                });
+                WO::fetch_min(w, m1, nxt, tov.v, ndv.v, oldv.v);
+                const auto m2 =
+                    w.where(m1, [&](int l) { return ndv[l] < oldv[l]; });
+                vcuda::LaneVec<std::uint32_t> zero, one;
+                w.for_lanes(m2, [&](int l) {
+                  zero[l] = 0;
+                  one[l] = 1u;
+                });
+                WO::st(w, m2, changed, zero.v, one.v);
+              });
           return;
         }
       }
-      blk.for_each_thread([&](vcuda::Thread& t) {
-        for_items<kGran, C.pers>(
-            t, items,
-            [&](std::uint32_t i, std::uint32_t off, std::uint32_t stride) {
-              process(t, i, off, stride);
-            });
-      });
+      for_items_region<kGran, C.pers>(
+          blk, items,
+          [&](vcuda::Thread& t, std::uint32_t i, std::uint32_t off,
+              std::uint32_t stride) {
+            process(t, i, off, stride);
+          });
     });
     if constexpr (kData) {
       if (size_h[0] > wl_cap) {
@@ -322,16 +321,16 @@ RunResult relax_run(const Graph& g, const RunOptions& opts) {
         const std::uint32_t fill_grid =
             grid_for<Granularity::Thread, C.pers>(dev, all);
         dev.launch(fill_grid, kBD, [&](vcuda::Block& blk) {
-          blk.for_each_warp([&](vcuda::WarpCtx& w) {
-            for_items_warp<C.pers>(
-                w, all, [&](vcuda::WarpCtx::Mask mask, std::uint32_t base) {
-                  vcuda::LaneVec<std::uint32_t> iota;
-                  w.for_lanes(mask, [&](int l) {
-                    iota[l] = base + static_cast<std::uint32_t>(l);
-                  });
-                  wl_out.st_warp_c(w, mask, base, iota.v);
+          for_items_warp_region<C.pers>(
+              blk, all,
+              [&](vcuda::WarpCtx& w, vcuda::WarpCtx::Mask mask,
+                  std::uint32_t base) {
+                vcuda::LaneVec<std::uint32_t> iota;
+                w.for_lanes(mask, [&](int l) {
+                  iota[l] = base + static_cast<std::uint32_t>(l);
                 });
-          });
+                wl_out.st_warp_c(w, mask, base, iota.v);
+              });
         });
         size_h[0] = all;
       }

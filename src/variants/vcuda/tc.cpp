@@ -92,45 +92,44 @@ RunResult tc_run(const Graph& g, const RunOptions& opts) {
     // the values it reads — sibling lanes' accesses cannot be grouped into
     // common SIMT batches without changing which accesses coalesce, i.e.
     // no lane-loop form is bit-identical (see docs/VCUDA_MODEL.md).
-    blk.for_each_thread([&](vcuda::Thread& t) {
-      for_items<C.gran, C.pers>(
-          t, items,
-          [&](std::uint32_t i, std::uint32_t off, std::uint32_t stride) {
-            std::uint64_t local = 0;
-            if constexpr (kEdge) {
-              const vid_t u = srcl.ld(t, i), v = col.ld(t, i);
-              if (u >= v) return;
-              if constexpr (C.gran == Granularity::Thread) {
-                local = merge_count(t, u, v);
-              } else {
-                // Lanes stride over N(u) past v, probing N(v).
-                const std::uint32_t beg = row.ld(t, u);
-                const std::uint32_t end = row.ld(t, u + 1);
-                for (std::uint32_t e = beg + off; e < end; e += stride) {
-                  const vid_t w = col.ld(t, e);
-                  if (w > v && bsearch(t, v, w)) ++local;
-                }
-              }
+    for_items_region<C.gran, C.pers>(
+        blk, items,
+        [&](vcuda::Thread& t, std::uint32_t i, std::uint32_t off,
+            std::uint32_t stride) {
+          std::uint64_t local = 0;
+          if constexpr (kEdge) {
+            const vid_t u = srcl.ld(t, i), v = col.ld(t, i);
+            if (u >= v) return;
+            if constexpr (C.gran == Granularity::Thread) {
+              local = merge_count(t, u, v);
             } else {
-              const vid_t u = i;
+              // Lanes stride over N(u) past v, probing N(v).
               const std::uint32_t beg = row.ld(t, u);
               const std::uint32_t end = row.ld(t, u + 1);
               for (std::uint32_t e = beg + off; e < end; e += stride) {
-                const vid_t v = col.ld(t, e);
-                if (v > u) local += merge_count(t, u, v);
+                const vid_t w = col.ld(t, e);
+                if (w > v && bsearch(t, v, w)) ++local;
               }
             }
-            if (local == 0) return;
-            if constexpr (kRed == GpuReduction::GlobalAdd) {
-              O::fetch_add(t, count, 0, local);  // Listing 10a
-            } else if constexpr (kRed == GpuReduction::BlockAdd) {
-              blk.atomic_add_block(t, block_ctr[0], local);
-            } else {
-              slots[t.thread_idx()] += local;
-              t.work(1);
+          } else {
+            const vid_t u = i;
+            const std::uint32_t beg = row.ld(t, u);
+            const std::uint32_t end = row.ld(t, u + 1);
+            for (std::uint32_t e = beg + off; e < end; e += stride) {
+              const vid_t v = col.ld(t, e);
+              if (v > u) local += merge_count(t, u, v);
             }
-          });
-    });
+          }
+          if (local == 0) return;
+          if constexpr (kRed == GpuReduction::GlobalAdd) {
+            O::fetch_add(t, count, 0, local);  // Listing 10a
+          } else if constexpr (kRed == GpuReduction::BlockAdd) {
+            blk.atomic_add_block(t, block_ctr[0], local);
+          } else {
+            slots[t.thread_idx()] += local;
+            t.work(1);
+          }
+        });
     drain_reduction<kRed, std::uint64_t>(
         blk, slots, block_ctr[0], [&](vcuda::Thread& t, std::uint64_t total) {
           if (total != 0) O::fetch_add(t, count, 0, total);

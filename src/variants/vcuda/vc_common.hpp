@@ -3,6 +3,7 @@
 // granularity/persistence work-item loops (2.7, 2.8), and grid sizing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "variants/common.hpp"
@@ -217,35 +218,57 @@ void for_items_warp(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
   }
 }
 
-/// Lane-loop form of for_items<G, P> for Warp/Block granularity: one work
-/// item's inner loop is strided across the warp's lanes, so the warp visits
-/// items one at a time and fn(item, off0, stride) describes lane l's slice
-/// as offsets off0 + l, off0 + l + stride, ... — exactly the offsets
-/// for_items hands the per-lane threads (Warp: off0 = 0, stride = kWS;
-/// Block: off0 = tid(0), stride = block_dim, every warp of the block sees
-/// every item). Thread granularity has no per-item form; use the mask-based
-/// for_items_warp above.
+/// Threads that own at least one of `items` work items under granularity
+/// G: a gidx prefix of items x {1, kWS, block_dim} threads (thread g serves
+/// item g, warp g / kWS, block g / block_dim — persistent strides only add
+/// items to threads already in the prefix). Saturates at the uint32 range,
+/// which the simulator reads as "every thread".
+template <Granularity G>
+std::uint32_t live_threads(std::uint32_t items, std::uint32_t bd = kBD) {
+  std::uint64_t per_item = 1;
+  if constexpr (G == Granularity::Warp) per_item = kWS;
+  if constexpr (G == Granularity::Block) per_item = bd;
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      items * per_item, vcuda::Block::kAllLive));
+}
+
+/// Threads live in batch `batch` of a warp/block pipeline that hands group
+/// g the item g + batch * groups_total: those of the groups whose item is
+/// still below `items` (a gidx prefix, like live_threads<G>).
+template <Granularity G>
+std::uint32_t batch_live_threads(std::uint32_t items, std::uint32_t batch,
+                                 std::uint32_t groups_total) {
+  const std::uint64_t first = std::uint64_t{batch} * groups_total;
+  if (first >= items) return 0;
+  return live_threads<G>(items - static_cast<std::uint32_t>(first));
+}
+
+/// One barrier-delimited region running fn(t, item, inner_offset,
+/// inner_stride) over for_items<G, P>. The region is bounded to the threads
+/// that own items (live_threads<G>), so the simulator skips the idle rest
+/// of a device-filling persistent grid without interpreting it.
 template <Granularity G, Persistence P, typename Fn>
-void for_items_warp_gran(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
-  static_assert(G != Granularity::Thread,
-                "Thread granularity uses the mask form (for_items_warp)");
-  if constexpr (G == Granularity::Warp) {
-    const std::uint32_t wid = w.gidx_base() / kWS;
-    if constexpr (P == Persistence::Persistent) {
-      const std::uint32_t nwarps = w.total_threads() / kWS;
-      for (std::uint32_t i = wid; i < items; i += nwarps) fn(i, 0u, kWS);
-    } else {
-      if (wid < items) fn(wid, 0u, kWS);
-    }
-  } else {
-    if constexpr (P == Persistence::Persistent) {
-      for (std::uint32_t i = w.block_idx(); i < items; i += w.grid_dim()) {
-        fn(i, w.tid(0), w.block_dim());
-      }
-    } else {
-      if (w.block_idx() < items) fn(w.block_idx(), w.tid(0), w.block_dim());
-    }
-  }
+void for_items_region(vcuda::Block& blk, std::uint32_t items, Fn&& fn) {
+  blk.for_each_thread(
+      live_threads<G>(items, blk.block_dim()), [&](vcuda::Thread& t) {
+        for_items<G, P>(t, items,
+                        [&](std::uint32_t i, std::uint32_t off,
+                            std::uint32_t stride) { fn(t, i, off, stride); });
+      });
+}
+
+/// Lane-loop sibling of for_items_region<Granularity::Thread, P>: one
+/// bounded region running fn(w, mask, base) over for_items_warp<P>.
+template <Persistence P, typename Fn>
+void for_items_warp_region(vcuda::Block& blk, std::uint32_t items, Fn&& fn) {
+  blk.for_each_warp(live_threads<Granularity::Thread>(items),
+                    [&](vcuda::WarpCtx& w) {
+                      for_items_warp<P>(
+                          w, items,
+                          [&](vcuda::WarpCtx::Mask mask, std::uint32_t base) {
+                            fn(w, mask, base);
+                          });
+                    });
 }
 
 /// Drains the BlockAdd/ReductionAdd accumulators after a kernel's main
@@ -258,17 +281,18 @@ void for_items_warp_gran(vcuda::WarpCtx& w, std::uint32_t items, Fn&& fn) {
 template <GpuReduction R, typename T, typename Commit>
 void drain_reduction(vcuda::Block& blk, std::span<T> slots, T& block_ctr,
                      Commit&& commit) {
-  if constexpr (R == GpuReduction::BlockAdd) {
+  if constexpr (R != GpuReduction::GlobalAdd) {
     blk.sync();
-    blk.for_each_thread([&](vcuda::Thread& t) {
-      if (t.thread_idx() == 0) commit(t, block_ctr);
-    });
-  } else if constexpr (R == GpuReduction::ReductionAdd) {
-    blk.sync();
-    const T total = blk.reduce_add(slots);
-    blk.for_each_thread([&](vcuda::Thread& t) {
-      if (t.thread_idx() == 0) commit(t, total);
-    });
+    T total = block_ctr;
+    if constexpr (R == GpuReduction::ReductionAdd) {
+      total = blk.reduce_add(slots);
+    }
+    // Leader-only commit: in this block only thread 0 has a gidx below
+    // block_idx * block_dim + 1, so the region is bounded to it.
+    blk.for_each_thread(blk.block_idx() * blk.block_dim() + 1,
+                        [&](vcuda::Thread& t) {
+                          if (t.thread_idx() == 0) commit(t, total);
+                        });
   }
 }
 

@@ -22,6 +22,7 @@
 // the study cares about survive this substitution.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -31,6 +32,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "racecheck/racecheck.hpp"
@@ -1115,13 +1117,30 @@ class Block {
   [[nodiscard]] std::uint32_t block_dim() const { return bdim_; }
   [[nodiscard]] std::uint32_t grid_dim() const { return gdim_; }
 
+  /// Region bound meaning "every thread of the grid may do work".
+  static constexpr std::uint32_t kAllLive = ~std::uint32_t{0};
+
   /// Runs `fn(Thread&)` for every thread of the block, warp by warp, and
   /// folds the per-warp recordings into the launch accounting. One call is
   /// one barrier-delimited region of the kernel.
   template <typename F>
   void for_each_thread(F&& fn) {
+    for_each_thread(kAllLive, std::forward<F>(fn));
+  }
+
+  /// Bounded region: the caller promises that threads with gidx >= `live`
+  /// do nothing here (no access, no charge). Those lanes are not called,
+  /// and a warp with no live lane is charged exactly what flushing its
+  /// empty region would charge (charge_idle_warp), at the same position in
+  /// the scrambled warp order — so modeled time and LaunchStats are
+  /// bit-identical to the unbounded region. The reference model ignores the
+  /// bound and visits every lane, which is what lets the golden dual-path
+  /// tests prove the skip exact.
+  template <typename F>
+  void for_each_thread(std::uint32_t live, F&& fn) {
     const auto ws = static_cast<std::uint32_t>(warp_size_);
     const std::uint32_t warps = (bdim_ + ws - 1) / ws;
+    const std::uint32_t live_here = live_in_block(live);
     // Warps run in scrambled order for the same reason blocks do (see
     // Device::launch): hardware interleaves them, so in-order execution
     // would overstate in-sweep value propagation. The strides depend only
@@ -1130,30 +1149,39 @@ class Block {
     std::uint32_t w = 0;
     Thread t(rec_, 0, bidx_, bdim_, gdim_, warp_size_, rc_);
     for (std::uint32_t k = 0; k < warps; ++k) {
-      rec_.begin(spec(), bidx_ * warps + w);
       const std::uint32_t lo = w * ws;
-      const std::uint32_t count = std::min(bdim_, (w + 1) * ws) - lo;
-      // Every lane of the warp is visited below, so the region's lane
-      // population is known up front; declaring it here lets the per-lane
-      // call skip set_lane's running-max bookkeeping.
-      rec_.set_active_lanes(static_cast<int>(count));
-      // Lanes also run in scrambled order: hardware lockstep means a
-      // lane's reads happen before its siblings' same-instruction writes
-      // land, so in-id-order emulation would overstate how far values
-      // chain through a warp within one sweep.
-      const std::uint32_t lstep =
-          count == ws ? lane_step_full_ : lane_step_tail_;
-      std::uint32_t li = 0;
-      for (std::uint32_t j = 0; j < count; ++j) {
-        // lane == tid % ws == li, since lo is a multiple of ws and
-        // li < count <= ws — no per-lane division needed.
-        rec_.set_lane_counted(static_cast<int>(li));
-        t.set_tid(lo + li);
-        fn(t);
-        li += lstep;
-        if (li >= count) li -= count;
+      if (lo >= live_here) {
+        charge_idle_warp();
+      } else {
+        rec_.begin(spec(), bidx_ * warps + w);
+        const std::uint32_t count = std::min(bdim_, (w + 1) * ws) - lo;
+        const std::uint32_t live_lanes = std::min(count, live_here - lo);
+        // The region's lane population is the whole warp (idle lanes
+        // included: they sit through the lockstep like on hardware), known
+        // up front, so the per-lane call skips set_lane's running-max
+        // bookkeeping.
+        rec_.set_active_lanes(static_cast<int>(count));
+        // Lanes also run in scrambled order: hardware lockstep means a
+        // lane's reads happen before its siblings' same-instruction writes
+        // land, so in-id-order emulation would overstate how far values
+        // chain through a warp within one sweep. Live lanes are the prefix
+        // [0, live_lanes); skipping the rest keeps their relative order.
+        const std::uint32_t lstep =
+            count == ws ? lane_step_full_ : lane_step_tail_;
+        std::uint32_t li = 0;
+        for (std::uint32_t j = 0; j < count; ++j) {
+          if (li < live_lanes) {
+            // lane == tid % ws == li, since lo is a multiple of ws and
+            // li < count <= ws — no per-lane division needed.
+            rec_.set_lane_counted(static_cast<int>(li));
+            t.set_tid(lo + li);
+            fn(t);
+          }
+          li += lstep;
+          if (li >= count) li -= count;
+        }
+        rec_.flush(dev_);
       }
-      rec_.flush(dev_);
       w += step;
       if (w >= warps) w -= warps;
     }
@@ -1166,22 +1194,37 @@ class Block {
   /// and WarpCtx recording within one region is not supported.
   template <typename F>
   void for_each_warp(F&& fn) {
+    for_each_warp(kAllLive, std::forward<F>(fn));
+  }
+
+  /// Bounded lane-loop region, same contract as the bounded
+  /// for_each_thread: warps whose lanes all have gidx >= `live` are not
+  /// called and get the idle-warp charge; a partially live warp runs with
+  /// its full width (its body masks the idle lanes, as it must anyway).
+  template <typename F>
+  void for_each_warp(std::uint32_t live, F&& fn) {
     const auto ws = static_cast<std::uint32_t>(warp_size_);
     const std::uint32_t warps = (bdim_ + ws - 1) / ws;
+    const std::uint32_t live_here = live_in_block(live);
     const std::uint32_t step = warp_step_;
     std::uint32_t w = 0;
     WarpCtx ctx(dev_, rec_, rc_, bidx_, bdim_, gdim_);
     for (std::uint32_t k = 0; k < warps; ++k) {
-      rec_.begin(spec(), bidx_ * warps + w);
       const std::uint32_t lo = w * ws;
-      const std::uint32_t count = std::min(bdim_, (w + 1) * ws) - lo;
-      rec_.set_active_lanes(static_cast<int>(count));
-      // The warp carries the per-lane engine's lane-visit stride so the
-      // sequenced accessors can replay its exact lane order (for_lanes_seq).
-      ctx.reset_warp(lo, static_cast<int>(count),
-                     count == ws ? lane_step_full_ : lane_step_tail_);
-      fn(ctx);
-      rec_.flush(dev_);
+      if (lo >= live_here) {
+        charge_idle_warp();
+      } else {
+        rec_.begin(spec(), bidx_ * warps + w);
+        const std::uint32_t count = std::min(bdim_, (w + 1) * ws) - lo;
+        rec_.set_active_lanes(static_cast<int>(count));
+        // The warp carries the per-lane engine's lane-visit stride so the
+        // sequenced accessors can replay its exact lane order
+        // (for_lanes_seq).
+        ctx.reset_warp(lo, static_cast<int>(count),
+                       count == ws ? lane_step_full_ : lane_step_tail_);
+        fn(ctx);
+        rec_.flush(dev_);
+      }
       w += step;
       if (w >= warps) w -= warps;
     }
@@ -1257,6 +1300,11 @@ class Block {
 
  private:
   [[nodiscard]] const DeviceSpec& spec() const;
+  /// Threads of this block with gidx < live; all of them under the
+  /// reference model. Inline after Device (it reads the model mode).
+  [[nodiscard]] std::uint32_t live_in_block(std::uint32_t live) const;
+  /// The exact charge of flushing a region in which no lane did anything.
+  void charge_idle_warp();
   [[nodiscard]] double block_atomic_cycles() const;
   void note_block_atomic();  // LaunchStats accounting (Device is incomplete
                              // here, so the body lives in sim.cpp)
@@ -1827,5 +1875,22 @@ inline void WarpRecorder::flush(Device& dev) {
 }
 
 }  // namespace detail
+
+inline std::uint32_t Block::live_in_block(std::uint32_t live) const {
+  if (dev_.reference_mode()) return bdim_;
+  const std::uint64_t first = std::uint64_t{bidx_} * bdim_;
+  if (live <= first) return 0;
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(bdim_, live - first));
+}
+
+// flush() over a region whose lanes all kept zero cycles adds max lane
+// (+0.0) + warp_fixed_cycles to compute, +0.0 to both SIMT sums and +0.0
+// to the fence pool, and records nothing else. Adding +0.0 leaves every
+// (non-negative) sum bit-for-bit unchanged, so the one compute add is the
+// whole charge.
+inline void Block::charge_idle_warp() {
+  dev_.add_compute_cycles(dev_.spec().warp_fixed_cycles);
+}
 
 }  // namespace indigo::vcuda

@@ -21,18 +21,31 @@
 // disabled obs path performs none.
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
 
-void* operator new(std::size_t n) {
+void* counted_malloc(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n > 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+}  // namespace
+
+// The replacements stay out of line, like the library definitions they
+// replace: inlined into a caller, gcc sees free() applied to a pointer that
+// came from operator new and flags the pair as mismatched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace indigo::obs {
 namespace {

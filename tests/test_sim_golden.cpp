@@ -10,11 +10,13 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "graph/generate.hpp"
+#include "obs/counters.hpp"
 #include "variants/register_all.hpp"
 #include "vcuda/device_spec.hpp"
 #include "vcuda/sim.hpp"
@@ -184,8 +186,41 @@ TEST(SimGolden, BlockAtomicsAndReductions) {
   });
 }
 
-// Every registered vcuda variant on a small graph: the end-to-end modeled
-// seconds (what the paper's figures are made of) must agree bit-for-bit.
+/// The vcuda obs counters finalize_launch sums per launch: together they
+/// cover the launch count and every integral LaunchStats total.
+std::vector<std::uint64_t> vcuda_counter_values() {
+  static constexpr const char* kNames[] = {
+      "vcuda.launches",         "vcuda.transactions",
+      "vcuda.transactions_replayed", "vcuda.mem_instructions",
+      "vcuda.atomic_ops",       "vcuda.atomic_conflicts",
+      "vcuda.block_atomic_ops", "vcuda.fence_cycles",
+      "vcuda.barriers",         "vcuda.lane_cycles",
+      "vcuda.lockstep_cycles",  "vcuda.sim_ns"};
+  auto& reg = obs::CounterRegistry::instance();
+  std::vector<std::uint64_t> out;
+  for (const char* name : kNames) out.push_back(reg.counter(name).value());
+  return out;
+}
+
+struct VariantRun {
+  RunResult result;
+  std::vector<std::uint64_t> counters;  // vcuda counter deltas of the run
+};
+
+VariantRun run_counted(const Variant& v, const Graph& g,
+                       const RunOptions& opts) {
+  const std::vector<std::uint64_t> before = vcuda_counter_values();
+  VariantRun out{v.run(g, opts), vcuda_counter_values()};
+  for (std::size_t i = 0; i < before.size(); ++i) out.counters[i] -= before[i];
+  return out;
+}
+
+// Registered vcuda variants on a small graph, reference vs fast model: the
+// modeled seconds (what the paper's figures are made of), iterations,
+// outputs, launch count and summed launch counters must agree bit-for-bit.
+// Every persistent variant runs — their device-filling grids are where
+// bounded regions skip idle threads, and the reference model visits every
+// lane — plus every third other variant and the first few.
 TEST(SimGolden, RealVariantsEndToEnd) {
   variants::register_all_variants();
   const Graph g = make_rmat(8);
@@ -193,23 +228,166 @@ TEST(SimGolden, RealVariantsEndToEnd) {
   ASSERT_FALSE(cuda.empty());
   RunOptions opts;
   opts.source = 0;
-  std::size_t checked = 0;
+  obs::set_enabled(true);
+  std::size_t seen = 0, checked = 0, persistent = 0;
   for (const Variant* v : cuda) {
-    // Bound runtime: sample every third variant plus the first few; the
-    // direct-kernel tests above already cover each flush path exhaustively.
-    if (checked > 4 && (checked % 3) != 0) {
-      ++checked;
-      continue;
-    }
+    const bool pers = v->style.pers == Persistence::Persistent;
+    const bool sampled = seen < 5 || seen % 3 == 0;
+    ++seen;
+    if (!pers && !sampled) continue;
     set_reference_model(true);
-    const RunResult ref = v->run(g, opts);
+    const VariantRun ref = run_counted(*v, g, opts);
     set_reference_model(false);
-    const RunResult fast = v->run(g, opts);
-    EXPECT_EQ(bits(ref.seconds), bits(fast.seconds)) << v->name;
-    EXPECT_EQ(ref.iterations, fast.iterations) << v->name;
+    const VariantRun fast = run_counted(*v, g, opts);
+    EXPECT_EQ(bits(ref.result.seconds), bits(fast.result.seconds)) << v->name;
+    EXPECT_EQ(ref.result.iterations, fast.result.iterations) << v->name;
+    EXPECT_EQ(ref.result.converged, fast.result.converged) << v->name;
+    EXPECT_EQ(ref.result.output.labels, fast.result.output.labels)
+        << v->name;
+    EXPECT_EQ(ref.result.output.count, fast.result.output.count) << v->name;
+    ASSERT_EQ(ref.result.output.ranks.size(), fast.result.output.ranks.size())
+        << v->name;
+    for (std::size_t i = 0; i < ref.result.output.ranks.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(ref.result.output.ranks[i]),
+                std::bit_cast<std::uint32_t>(fast.result.output.ranks[i]))
+          << v->name << " rank " << i;
+    }
+    EXPECT_GT(ref.counters[0], 0u) << v->name;  // launches
+    EXPECT_EQ(ref.counters, fast.counters) << v->name;
     ++checked;
+    if (pers) ++persistent;
   }
+  obs::set_enabled(false);
   EXPECT_GT(checked, 0u);
+  EXPECT_GT(persistent, 0u);
+}
+
+// --- bounded regions ---------------------------------------------------------
+// for_each_thread/for_each_warp with a live bound skip the threads at or
+// past the bound and charge a fully idle warp in closed form. That must be
+// bit-identical to the unbounded region whose body guards `gidx < live`, in
+// both model modes and under both warp engines; the reference model ignores
+// the bound and calls every lane.
+
+// 5 blocks of 80 threads: two full warps and a 16-lane tail warp per block.
+constexpr std::uint32_t kBoundGrid = 5;
+constexpr std::uint32_t kBoundBlock = 80;
+constexpr std::uint32_t kBoundThreads = kBoundGrid * kBoundBlock;
+
+struct BoundedRun {
+  double elapsed = 0;
+  LaunchStats stats;
+  std::vector<std::uint32_t> out, ctr;
+  std::uint64_t idle_calls = 0;  // calls for threads/warps past the bound
+};
+
+/// Two regions around a barrier: a guarded load/ALU/scattered-atomic/store
+/// round with lane-varying work, then a second round over its output.
+BoundedRun run_bounded(bool reference, bool lane_loop, bool bounded,
+                       std::uint32_t live) {
+  set_reference_model(reference);
+  BoundedRun r;
+  std::vector<std::uint32_t> in(kBoundThreads);
+  for (std::uint32_t i = 0; i < in.size(); ++i) in[i] = i * 7 + 1;
+  r.out.assign(kBoundThreads, 0);
+  r.ctr.assign(64, 0);
+  {
+    Device dev(rtx3090_like());
+    auto src = dev.array(std::span<std::uint32_t>(in));
+    auto dst = dev.array(std::span<std::uint32_t>(r.out));
+    auto cnt = dev.array(std::span<std::uint32_t>(r.ctr));
+    const std::uint32_t bound = bounded ? live : Block::kAllLive;
+    const auto slot = [](std::uint32_t i) { return (i * 2654435761u) % 64; };
+    const auto work = [](std::uint32_t i) { return 1.0 + 0.37 * (i % 5); };
+    dev.launch(kBoundGrid, kBoundBlock, [&](Block& blk) {
+      if (lane_loop) {
+        auto body = [&](int round) {
+          return [&, round](WarpCtx& w) {
+            const std::uint32_t base = w.gidx_base();
+            if (base >= live) {
+              ++r.idle_calls;
+              return;
+            }
+            const WarpCtx::Mask m = w.mask_first(live - base);
+            LaneVec<std::uint32_t> v{}, s{};
+            if (round == 0) {
+              src.ld_warp_c(w, m, base, v.v);
+            } else {
+              dst.ld_warp_c(w, m, base, v.v);
+            }
+            w.for_lanes(m, [&](int l) {
+              const std::uint32_t i = base + static_cast<std::uint32_t>(l);
+              w.work(WarpCtx::Mask{1} << l, work(i + round));
+              s[l] = slot(i + round);
+            });
+            cnt.atomic_add_warp_seq(w, m, s.v, v.v);
+            w.for_lanes(m, [&](int l) { v[l] += 1; });
+            dst.st_warp_c(w, m, base, v.v);
+          };
+        };
+        blk.for_each_warp(bound, body(0));
+        blk.sync();
+        blk.for_each_warp(bound, body(1));
+      } else {
+        auto body = [&](int round) {
+          return [&, round](Thread& t) {
+            const std::uint32_t i = t.gidx();
+            if (i >= live) {
+              ++r.idle_calls;
+              return;
+            }
+            const std::uint32_t v =
+                round == 0 ? src.ld(t, i) : dst.ld(t, i);
+            t.work(work(i + round));
+            cnt.atomic_add(t, slot(i + round), v);
+            dst.st(t, i, v + 1);
+          };
+        };
+        blk.for_each_thread(bound, body(0));
+        blk.sync();
+        blk.for_each_thread(bound, body(1));
+      }
+    });
+    r.elapsed = dev.elapsed_seconds();
+    r.stats = dev.last_stats();
+  }
+  set_reference_model(false);
+  return r;
+}
+
+TEST(SimGolden, BoundedRegionsMatchGuardedUnboundedRegions) {
+  // Nothing live, mid-warp, mid-warp of a later block, the tail warp of a
+  // middle block, exactly the grid, and past it.
+  for (const std::uint32_t live : {0u, 13u, 45u, 200u, 232u, kBoundThreads,
+                                   kBoundThreads + 1, 1u << 30}) {
+    for (const bool lane_loop : {false, true}) {
+      SCOPED_TRACE("live " + std::to_string(live) +
+                   (lane_loop ? ", lane-loop" : ", per-lane"));
+      const BoundedRun truth = run_bounded(true, lane_loop, false, live);
+      for (const bool reference : {false, true}) {
+        for (const bool bounded : {false, true}) {
+          SCOPED_TRACE(std::string(reference ? "reference" : "fast") +
+                       (bounded ? ", bounded" : ", unbounded"));
+          const BoundedRun r = run_bounded(reference, lane_loop, bounded, live);
+          EXPECT_EQ(bits(truth.elapsed), bits(r.elapsed));
+          expect_identical(truth.stats, r.stats);
+          EXPECT_EQ(truth.out, r.out);
+          EXPECT_EQ(truth.ctr, r.ctr);
+          // Only the fast bounded region skips the threads past the bound;
+          // the other runs call each of them (or their warps) per round.
+          std::uint64_t idle_threads = 0, idle_warps = 0;
+          for (std::uint32_t g = live; g < kBoundThreads; ++g) {
+            ++idle_threads;
+            if (g % kBoundBlock % 32 == 0) ++idle_warps;
+          }
+          const std::uint64_t unskipped =
+              2 * (lane_loop ? idle_warps : idle_threads);
+          EXPECT_EQ(r.idle_calls,
+                    bounded && !reference ? std::uint64_t{0} : unskipped);
+        }
+      }
+    }
+  }
 }
 
 // --- lane-loop (de-SPMD) engine ---------------------------------------------
