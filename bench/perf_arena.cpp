@@ -1,12 +1,11 @@
-// Allocator-churn microbenchmark for the device-memory arena and the
-// graph-residency cache.
+// Allocator-churn microbenchmark for the device-memory arena.
 //
 // A sweep cell allocates the same handful of working buffers (frontier
 // queues, label arrays, reduction scalars) thousands of times across the
 // study, so Device::array-adjacent allocation is pure churn: the arena's
 // job is to make the steady state O(1) same-shape reuse instead of a
 // malloc/free pair per buffer. This binary times that steady state in
-// isolation, in three phases:
+// isolation, in two phases:
 //
 //   same_shape  - alloc/free cycles over one fixed shape set (the BFS/SSSP
 //                 working-buffer sizes). After warm-up every alloc must be
@@ -14,11 +13,8 @@
 //   mixed       - interleaved small-class (64 B aligned) and page-class
 //                 (4 KiB aligned) blocks freed out of order, exercising
 //                 best-fit splits and adjacent-block coalescing.
-//   residency   - GraphResidency bind() churn: a hot loop over a working
-//                 set that fits the cap (every bind a hit) and a rotation
-//                 over one that does not (every bind an eviction + copy).
 //
-// The baseline gate scores the combined alloc/free ops/s of the two arena
+// The baseline gate scores the combined alloc/free ops/s of the two
 // phases ("arena_ops_per_s" — a key unique to this tool, so the entry can
 // live inside bench/perf_baseline.json next to perf_sim's without
 // confusing either reader).
@@ -38,10 +34,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "vcuda/arena.hpp"
-#include "vcuda/residency.hpp"
 
 namespace {
 
@@ -66,7 +60,7 @@ double read_baseline_ops_per_s(const std::string& path) {
 
 struct PhaseResult {
   double wall_s = 0;
-  std::uint64_t ops = 0;         // alloc/free pairs (or binds) performed
+  std::uint64_t ops = 0;         // alloc/free pairs performed
   std::uint64_t reuse_hits = 0;  // exact-bucket reuses during the phase
   double ops_per_s = 0;
 };
@@ -97,11 +91,6 @@ int main(int argc, char** argv) {
                    "[--baseline=PATH] [--tolerance=X]\n";
       return 2;
     }
-  }
-  if (!vcuda::arena_enabled()) {
-    std::cerr << "[perf_arena] FAIL: arena disabled (INDIGO_ARENA=off); "
-                 "nothing to measure\n";
-    return 1;
   }
   bool failed = false;
 
@@ -186,92 +175,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Phase 3: residency hit/miss churn over fabricated graph buffers
-  // (bind() only sees byte spans; real CSR arrays would measure the same
-  // code path and cost more to build). Working set: 4 "graphs" of ~1 MiB.
-  PhaseResult res_hot, res_cold;
-  {
-    constexpr std::size_t kGraphs = 4;
-    constexpr std::size_t kBufBytes = 256 * 1024;
-    std::vector<std::vector<std::byte>> bufs;
-    for (std::size_t g = 0; g < kGraphs; ++g) {
-      for (int b = 0; b < 4; ++b) {
-        bufs.emplace_back(kBufBytes, std::byte{static_cast<unsigned char>(g)});
-      }
-    }
-    auto spans_of = [&](std::size_t g) {
-      std::vector<std::span<const std::byte>> spans;
-      for (int b = 0; b < 4; ++b) {
-        spans.push_back(std::span<const std::byte>(bufs[g * 4 + b]));
-      }
-      return spans;
-    };
-    const std::uint64_t binds = iters / 10 + kGraphs;
-
-    // Hot: a cache big enough for all four graphs — after the first lap
-    // every bind is a hit (this is the sweep's same-graph-affinity case).
-    vcuda::GraphResidency hot(kGraphs * 4 * kBufBytes + (1 << 20));
-    {
-      for (std::size_t g = 0; g < kGraphs; ++g) {
-        const auto spans = spans_of(g);
-        hot.bind(g, std::span<const std::span<const std::byte>>(spans));
-      }
-      const auto t0 = Clock::now();
-      std::uint64_t hits = 0;
-      for (std::uint64_t i = 0; i < binds; ++i) {
-        const std::size_t g = i % kGraphs;
-        const auto spans = spans_of(g);
-        hits += hot.bind(g, std::span<const std::span<const std::byte>>(spans));
-      }
-      hot.unbind();
-      res_hot.wall_s = seconds_since(t0);
-      res_hot.ops = binds;
-      res_hot.reuse_hits = hits;
-      res_hot.ops_per_s = binds / res_hot.wall_s;
-      std::printf(
-          "[perf_arena] res_hot:    %.3fs, %.2f Mbinds/s, hits %llu/%llu\n",
-          res_hot.wall_s, res_hot.ops_per_s / 1e6,
-          static_cast<unsigned long long>(hits),
-          static_cast<unsigned long long>(binds));
-      if (hits != binds) {
-        std::cerr << "[perf_arena] FAIL: warm residency loop missed\n";
-        failed = true;
-      }
-    }
-
-    // Cold: a cache that holds two of the four — the rotation evicts and
-    // re-copies on every bind, the worst case the LRU bounds.
-    vcuda::GraphResidency cold(2 * 4 * kBufBytes + (1 << 18));
-    {
-      const auto t0 = Clock::now();
-      std::uint64_t hits = 0;
-      for (std::uint64_t i = 0; i < binds; ++i) {
-        const std::size_t g = i % kGraphs;
-        const auto spans = spans_of(g);
-        hits +=
-            cold.bind(g, std::span<const std::span<const std::byte>>(spans));
-      }
-      cold.unbind();
-      res_cold.wall_s = seconds_since(t0);
-      res_cold.ops = binds;
-      res_cold.reuse_hits = hits;
-      res_cold.ops_per_s = binds / res_cold.wall_s;
-      const vcuda::ResidencyStats cs = cold.stats();
-      std::printf(
-          "[perf_arena] res_cold:   %.3fs, %.2f Mbinds/s, hits %llu/%llu, "
-          "evictions %llu\n",
-          res_cold.wall_s, res_cold.ops_per_s / 1e6,
-          static_cast<unsigned long long>(hits),
-          static_cast<unsigned long long>(binds),
-          static_cast<unsigned long long>(cs.evictions));
-      if (hits != 0 || cs.evictions == 0) {
-        std::cerr << "[perf_arena] FAIL: thrashing rotation did not evict\n";
-        failed = true;
-      }
-    }
-  }
-
-  // The gated aggregate: alloc/free throughput of the two arena phases.
+  // The gated aggregate: alloc/free throughput of the two phases.
   const double arena_wall = same.wall_s + mixed.wall_s;
   const double arena_ops_per_s =
       arena_wall > 0 ? static_cast<double>(same.ops + mixed.ops) / arena_wall
@@ -281,17 +185,14 @@ int main(int argc, char** argv) {
 
   std::ofstream json(json_path);
   json.precision(6);
-  auto emit_phase = [&json](const char* name, const PhaseResult& p,
-                            bool last = false) {
+  auto emit_phase = [&json](const char* name, const PhaseResult& p) {
     json << "  \"" << name << "\": {\"wall_s\": " << p.wall_s
          << ", \"ops\": " << p.ops << ", \"reuse_hits\": " << p.reuse_hits
-         << ", \"ops_per_s\": " << p.ops_per_s << "}" << (last ? "\n" : ",\n");
+         << ", \"ops_per_s\": " << p.ops_per_s << "},\n";
   };
   json << "{\n";
   emit_phase("same_shape", same);
   emit_phase("mixed", mixed);
-  emit_phase("residency_hot", res_hot);
-  emit_phase("residency_cold", res_cold);
   json << "  \"arena\": {\"arena_ops_per_s\": " << arena_ops_per_s << "}\n}\n";
   std::cout << "[perf_arena] wrote " << json_path << '\n';
 

@@ -69,26 +69,11 @@
 #include "sched/job_graph.hpp"
 #include "sched/shard.hpp"
 #include "vcuda/arena.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 namespace {
 
 using namespace indigo;
-
-int env_retries() {
-  if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
-    return std::max(0, std::atoi(env));
-  }
-  return 1;
-}
-
-double env_timeout_s() {
-  if (const char* env = std::getenv("INDIGO_SCHED_TIMEOUT_S")) {
-    return std::max(0.0, std::atof(env));
-  }
-  return 0;
-}
 
 double env_lease_s() {
   if (const char* env = std::getenv("INDIGO_FLEET_LEASE_S")) {
@@ -174,8 +159,8 @@ std::unique_ptr<CellRun> build_cell_jobs(
   auto crp = std::make_unique<CellRun>();
   CellRun& cr = *crp;
   const std::size_t num_graphs = h.num_graphs();
-  const int retries = env_retries();
-  const double timeout_s = env_timeout_s();
+  const int retries = bench::env_retries();
+  const double timeout_s = bench::env_timeout_s();
 
   // Stage 1: one materialization job per graph the range touches.
   // Model-timed class: generation is not a reported measurement, so it may
@@ -212,9 +197,6 @@ std::unique_ptr<CellRun> build_cell_jobs(
     j.timeout_s = timeout_s;
     j.max_retries = retries;
     j.shard_cell = static_cast<std::int64_t>(c);
-    // Same graph -> same home worker: the worker's GraphResidency cache
-    // then serves every later cell on that graph without re-copying.
-    j.affinity = static_cast<std::int64_t>(gi);
     j.work = [&h, v, gi, slot, reps, cr = crp.get(),
               external_progress](const sched::JobContext&) {
       const Graph& g = h.graph(gi);
@@ -311,21 +293,13 @@ SweepOutcome run_dag(bench::Harness& h, std::optional<Model> model,
       std::cout << '\n';
       if (m == Model::Cuda) {
         // Device-memory accounting for the modeled device: the peak modeled
-        // footprint any launch reached, and how often GraphResidency served
-        // a cell's graph from its warm per-worker copy.
-        const vcuda::ResidencyStats rs = vcuda::aggregate_residency_stats();
+        // footprint any launch reached.
         const std::uint64_t peak = vcuda::peak_modeled_footprint_bytes();
-        const std::uint64_t binds = rs.hits + rs.misses;
         std::cout << "[sweep] cuda device memory: peak modeled footprint ";
         if (peak >= (1u << 20)) {
           std::cout << (peak >> 20) << " MiB";
         } else {
           std::cout << (peak >> 10) << " KiB";
-        }
-        if (binds > 0) {
-          std::cout << "; residency hits " << rs.hits << '/' << binds << " ("
-                    << 100 * rs.hits / binds << "%), evictions "
-                    << rs.evictions;
         }
         std::cout << '\n';
       }
@@ -813,10 +787,9 @@ int run_fleet_worker(const std::string& host, std::uint16_t port, int rank,
     const SweepOutcome so = finish_cells(h, *cr, statuses);
     {
       // Device-memory accounting per finished shard, into the worker log
-      // the coordinator already tails: shows whether this rank's arena and
-      // residency cache stayed warm across its lease.
+      // the coordinator already tails: shows whether this rank's arena
+      // stayed warm across its lease.
       const vcuda::ArenaStats as = vcuda::aggregate_arena_stats();
-      const vcuda::ResidencyStats rs = vcuda::aggregate_residency_stats();
       std::ostringstream os;
       // "Warm" = served from an already-mapped region (any of the bump,
       // free-list, or split paths). Exact free-list hits alone undercount
@@ -827,7 +800,6 @@ int run_fleet_worker(const std::string& host, std::uint16_t port, int rank,
           as.allocs > as.region_growths ? as.allocs - as.region_growths : 0;
       os << "shard [" << spec.begin << ',' << spec.end
          << ") mem: arena warm allocs " << warm << '/' << as.allocs
-         << ", residency hits " << rs.hits << '/' << (rs.hits + rs.misses)
          << ", peak footprint ";
       const std::uint64_t pk = vcuda::peak_modeled_footprint_bytes();
       if (pk >= (1u << 20)) {

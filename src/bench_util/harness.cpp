@@ -15,7 +15,6 @@
 #include "sched/job_graph.hpp"
 #include "threading/thread_team.hpp"
 #include "variants/register_all.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 namespace indigo::bench {
@@ -51,7 +50,18 @@ std::string device_name_of(const Variant& v, const vcuda::DeviceSpec* device) {
              : "cpu";
 }
 
-/// Sweep-level robustness knobs (documented in docs/SWEEP_RUNTIME.md).
+/// opts.workers == -1 defers to INDIGO_SCHED_WORKERS, where 0 selects the
+/// plain sequential loop and unset means "scheduler with its default pool".
+int resolve_sweep_workers(int requested) {
+  if (requested >= 0) return requested;
+  if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
+    return std::max(0, std::atoi(env));
+  }
+  return sched::Executor::resolve_workers(0);
+}
+
+}  // namespace
+
 int env_retries() {
   if (const char* env = std::getenv("INDIGO_SCHED_RETRIES")) {
     return std::max(0, std::atoi(env));
@@ -65,18 +75,6 @@ double env_timeout_s() {
   }
   return 0;  // measurements have no deadline unless asked for
 }
-
-/// opts.workers == -1 defers to INDIGO_SCHED_WORKERS, where 0 selects the
-/// plain sequential loop and unset means "scheduler with its default pool".
-int resolve_sweep_workers(int requested) {
-  if (requested >= 0) return requested;
-  if (const char* env = std::getenv("INDIGO_SCHED_WORKERS")) {
-    return std::max(0, std::atoi(env));
-  }
-  return sched::Executor::resolve_workers(0);
-}
-
-}  // namespace
 
 Harness::Harness() : Harness(DeferGraphs{}) {
   for (std::size_t i = 0; i < graphs_.size(); ++i) materialize_graph(i);
@@ -186,24 +184,6 @@ Measurement Harness::measure_one(const Variant& v, const Graph& g,
   }
   const RunOptions opts = base_run_options(device);
   Measurement m;
-  // Cuda variants read their graph through the thread's residency cache:
-  // consecutive cells on the same graph reuse the resident copy instead of
-  // touching a cold mapping. Invisible to the model — Device::array
-  // translates the pointers before assigning recording bases — so journal
-  // bytes are identical with residency on or off.
-  struct ResidencyGuard {
-    bool active = false;
-    ~ResidencyGuard() {
-      if (active) vcuda::thread_residency().unbind();
-    }
-  } residency_guard;
-  if (v.model == Model::Cuda && vcuda::residency_enabled()) {
-    const auto spans = device_buffer_spans(g);
-    vcuda::thread_residency().bind(
-        reinterpret_cast<std::uintptr_t>(static_cast<const void*>(&g)),
-        spans);
-    residency_guard.active = true;
-  }
   try {
     m = measure(v, g, opts, reps, verifier_for(g));
   } catch (const vcuda::DeviceOomError& ex) {
@@ -304,8 +284,8 @@ std::vector<Measurement> Harness::sweep(const SweepOptions& opts) {
           p.v->model == Model::Cuda && !obs::enabled() && !racecheck::enabled()
               ? sched::ExecClass::ModelTimed
               : sched::ExecClass::WallClock;
-      // Same-graph jobs seed onto the same worker so its residency cache
-      // (and arena shapes) stay warm across consecutive cells.
+      // Same-graph jobs seed onto the same worker, so its arena serves the
+      // buffer shapes of fewer graphs (lower peak RSS).
       j.affinity = static_cast<std::int64_t>(p.gi);
       j.timeout_s = timeout_s;
       j.max_retries = retries;

@@ -50,6 +50,13 @@ struct SweepOptions {
   bool racecheck = false;
 };
 
+/// Sweep-level robustness knobs (docs/SWEEP_RUNTIME.md), shared by
+/// Harness::sweep and sweep_all: extra attempts per cell
+/// (INDIGO_SCHED_RETRIES, default 1) and the per-attempt deadline in seconds
+/// (INDIGO_SCHED_TIMEOUT_S, default 0 = none).
+[[nodiscard]] int env_retries();
+[[nodiscard]] double env_timeout_s();
+
 /// Accounting of the most recent sweep() (resume/quarantine diagnostics).
 struct SweepStats {
   std::size_t pairs = 0;        // (variant, graph) pairs selected

@@ -245,9 +245,9 @@ std::vector<JobStatus> Executor::run(const JobGraph& graph) {
   // Seed the frontier across the workers' deques. Jobs without an affinity
   // key go round-robin; jobs sharing one are steered to a common home
   // worker (first-seen affinity takes the next round-robin slot), so a
-  // sweep's same-graph cells land on one thread and its per-thread caches
-  // (arena free-list shapes, GraphResidency copies) stay warm. Deterministic
-  // for a fixed job order and worker count; stealing may still rebalance.
+  // sweep's same-graph cells land on one thread and its arena sees fewer
+  // buffer shapes. Deterministic for a fixed job order and worker count;
+  // stealing may still rebalance.
   {
     int w = 0;
     std::unordered_map<std::int64_t, std::size_t> home;

@@ -67,11 +67,13 @@ struct Job {
   /// (shard.hpp): a worker process rebuilds the enumeration locally and
   /// runs only the cells inside its leased [begin, end) range.
   std::int64_t shard_cell = -1;
-  /// Data-locality key, or -1 for none. Jobs sharing an affinity value are
-  /// seeded onto the same worker's deque (sweeps use the graph index), so a
-  /// worker's per-thread caches — the device-memory arena's free-list
-  /// shapes and the GraphResidency copies — stay warm run-to-run. Advisory:
-  /// work stealing may still migrate jobs when a worker runs dry.
+  /// Data-locality key, or -1 for none. Jobs of the initial frontier that
+  /// share an affinity value are seeded onto the same worker's deque
+  /// (Harness::sweep uses the graph index), so each worker's device-memory
+  /// arena serves the buffer shapes of fewer graphs; that holds peak RSS
+  /// down (docs/PERFORMANCE.md). Only seeding reads it: dependents go to
+  /// the worker that released them. Advisory: work stealing may still
+  /// migrate jobs when a worker runs dry.
   std::int64_t affinity = -1;
 };
 

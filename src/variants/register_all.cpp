@@ -1,17 +1,9 @@
 #include "variants/register_all.hpp"
 
-#include <cstdlib>
-
 namespace indigo::variants {
 
 void register_all_variants() {
   static const bool once = [] {
-    // When workers outnumber cores (this reproduction often runs on small
-    // hosts), spinning OpenMP waiters burn the very core the working
-    // thread needs. Default to passive waiting unless the user chose;
-    // this runs before libgomp initializes because registration precedes
-    // the first parallel region in every binary of this project.
-    setenv("OMP_WAIT_POLICY", "passive", /*overwrite=*/0);
     omp::register_omp_cc();
     omp::register_omp_bfs();
     omp::register_omp_sssp();

@@ -1,9 +1,9 @@
 #include "vcuda/arena.hpp"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+#include <new>
+#include <sstream>
 
 #include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
@@ -11,17 +11,6 @@
 namespace indigo::vcuda {
 
 namespace {
-
-bool initial_arena_enabled() {
-  if (const char* env = std::getenv("INDIGO_ARENA")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::atomic<bool> g_arena_enabled{initial_arena_enabled()};
 
 /// Process-wide registry of live thread arenas, for aggregate stats. The
 /// telemetry section reads through it while worker threads allocate, which
@@ -53,18 +42,34 @@ void accumulate(ArenaStats& into, const ArenaStats& s) {
   into.coalesces += s.coalesces;
 }
 
+/// Registers the "mem" telemetry section (process-wide arena aggregates)
+/// the first time an arena is constructed; idempotent.
+void ensure_mem_telemetry_section() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    obs::telemetry_register_section("mem", [] {
+      const ArenaStats a = aggregate_arena_stats();
+      std::ostringstream os;
+      os << "{\"arena\":{"
+         << "\"live_bytes\":" << a.live_bytes
+         << ",\"peak_live_bytes\":" << a.peak_live_bytes
+         << ",\"region_bytes\":" << a.region_bytes
+         << ",\"regions\":" << a.regions
+         << ",\"region_growths\":" << a.region_growths
+         << ",\"allocs\":" << a.allocs
+         << ",\"reuse_hits\":" << a.reuse_hits
+         << ",\"split_allocs\":" << a.split_allocs
+         << ",\"bump_allocs\":" << a.bump_allocs << ",\"frees\":" << a.frees
+         << ",\"coalesces\":" << a.coalesces << "}}";
+      return os.str();
+    });
+  });
+}
+
 }  // namespace
 
-bool arena_enabled() {
-  return g_arena_enabled.load(std::memory_order_relaxed);
-}
-
-void set_arena_enabled(bool on) {
-  g_arena_enabled.store(on, std::memory_order_relaxed);
-}
-
 DeviceArena::DeviceArena() {
-  detail::ensure_mem_telemetry_section();
+  ensure_mem_telemetry_section();
   auto& r = ArenaRegistry::instance();
   std::lock_guard lk(r.mu);
   r.arenas.push_back(this);

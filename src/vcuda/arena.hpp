@@ -1,22 +1,19 @@
 // Device-memory arena: a region/slab allocator for the simulator's
-// device-resident buffers (value arrays, worklists, graph copies).
+// device-resident buffers (value arrays, worklists).
 //
 // The sweep's hot loop allocates and frees the same handful of buffer
-// shapes thousands of times — every (variant x graph) cell used to pay the
-// general heap for multi-megabyte worklists (mmap, page-fault zeroing,
-// munmap) per run. The arena keeps that memory mapped: blocks are carved
-// from large bump regions per alignment class, freed blocks land on an
-// exact-size free list for O(1) same-shape reuse, and address-adjacent free
-// blocks coalesce so shape changes (a new graph scale) do not leak the old
-// shapes forever. Regions are only returned to the OS when the arena dies
-// with its thread.
+// shapes thousands of times. The arena keeps that memory mapped: blocks are
+// carved from large bump regions per alignment class, freed blocks land on
+// an exact-size free list for O(1) same-shape reuse, and address-adjacent
+// free blocks coalesce so shape changes (a new graph scale) do not leak the
+// old shapes forever. Regions are only returned to the OS when the arena
+// dies with its thread. What it buys is peak RSS, not time: on the general
+// heap, glibc's dynamic mmap threshold keeps freed multi-megabyte worklists
+// in each thread's heap (docs/PERFORMANCE.md).
 //
 // The arena is purely a *host* allocator: modeled device capacity is
 // accounted separately by Device's page-aligned virtual bases (sim.hpp),
-// which depend only on wrap order and sizes — so journals are byte-identical
-// whether the arena is on or off. INDIGO_ARENA=off (or 0) selects the
-// general-heap fallback at startup; set_arena_enabled flips it at runtime
-// (the bit-identity tests do).
+// which depend only on wrap order and sizes, never on host addresses.
 #pragma once
 
 #include <atomic>
@@ -24,25 +21,12 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <new>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 namespace indigo::vcuda {
-
-namespace detail {
-/// Registers the "mem" telemetry section (arena + residency aggregates) the
-/// first time an arena or residency cache is constructed. Defined in
-/// residency.cpp; idempotent.
-void ensure_mem_telemetry_section();
-}  // namespace detail
-
-/// Whether DeviceBuffer allocations route through the thread's arena
-/// (default) or the general heap (INDIGO_ARENA=off / set_arena_enabled).
-[[nodiscard]] bool arena_enabled();
-void set_arena_enabled(bool on);
 
 /// Point-in-time accounting of one arena (relaxed-atomic snapshot: safe to
 /// read from the telemetry publisher while the owning thread allocates).
@@ -136,8 +120,7 @@ ArenaStats aggregate_arena_stats();
 
 /// A device-side working buffer: the std::vector replacement the vcuda
 /// variants hand to Device::array. Allocation goes through the thread's
-/// arena when enabled (general heap otherwise); construction always
-/// value-fills, exactly like the vectors it replaces, so a reused arena
+/// arena; construction always value-fills, exactly like the vectors it replaces, so a reused arena
 /// block can never leak a previous run's contents into this one.
 template <typename T>
 class DeviceBuffer {
@@ -154,21 +137,19 @@ class DeviceBuffer {
 
   void resize(std::size_t n) {
     if (n == n_) return;
-    bool from_arena = false;
-    T* np = allocate(n, from_arena);
+    T* np = allocate(n);
     const std::size_t keep = n < n_ ? n : n_;
     if (keep > 0) std::memcpy(np, p_, keep * sizeof(T));
     if (n > keep) std::memset(np + keep, 0, (n - keep) * sizeof(T));
     release();
     p_ = np;
     n_ = n;
-    from_arena_ = from_arena;
   }
 
   void assign(std::size_t n, T v) {
     if (n != n_) {
       release();
-      p_ = allocate(n, from_arena_);
+      p_ = allocate(n);
       n_ = n;
     }
     for (std::size_t i = 0; i < n_; ++i) p_[i] = v;
@@ -182,29 +163,19 @@ class DeviceBuffer {
   const T& operator[](std::size_t i) const { return p_[i]; }
 
  private:
-  static T* allocate(std::size_t n, bool& from_arena) {
+  static T* allocate(std::size_t n) {
     if (n == 0) return nullptr;
-    from_arena = arena_enabled();
-    if (from_arena) {
-      return static_cast<T*>(thread_arena().alloc(n * sizeof(T)));
-    }
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{64}));
+    return static_cast<T*>(thread_arena().alloc(n * sizeof(T)));
   }
   void release() {
     if (p_ == nullptr) return;
-    if (from_arena_) {
-      thread_arena().free(p_);
-    } else {
-      ::operator delete(p_, std::align_val_t{64});
-    }
+    thread_arena().free(p_);
     p_ = nullptr;
     n_ = 0;
   }
 
   T* p_ = nullptr;
   std::size_t n_ = 0;
-  bool from_arena_ = false;
 };
 
 }  // namespace indigo::vcuda

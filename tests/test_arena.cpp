@@ -1,34 +1,21 @@
-// Tests for the device-memory arena, the modeled-capacity OOM check, and
-// the multi-graph residency cache — including the invariant everything else
-// leans on: journals and modeled results are byte-identical whether the
-// arena/residency layer is on or off.
+// Tests for the device-memory arena, DeviceBuffer hygiene, and the
+// modeled-capacity OOM check (unit and as a recorded sweep outcome).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util/harness.hpp"
 #include "core/registry.hpp"
-#include "core/runner.hpp"
-#include "graph/csr.hpp"
-#include "graph/generate.hpp"
-#include "variants/register_all.hpp"
 #include "vcuda/arena.hpp"
 #include "vcuda/device_spec.hpp"
-#include "vcuda/residency.hpp"
 #include "vcuda/sim.hpp"
 
 namespace indigo::vcuda {
 namespace {
-
-std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 // --- alignment-class rounding -----------------------------------------------
 
@@ -153,149 +140,6 @@ TEST(Capacity, OomCarriesFootprintAndDeterministicMessage) {
   EXPECT_NO_THROW(dev.array(std::span<std::uint32_t>(a)));
 }
 
-TEST(Capacity, OomIndependentOfArenaAndResidencySwitches) {
-  std::vector<std::byte> big(64 * 1024);
-  for (const bool on : {true, false}) {
-    set_arena_enabled(on);
-    set_residency_enabled(on);
-    Device dev(tiny_device(32 * 1024));
-    EXPECT_THROW(dev.array(std::span<std::byte>(big)), DeviceOomError)
-        << "arena/residency " << on;
-  }
-  set_arena_enabled(true);
-  set_residency_enabled(true);
-}
-
-// --- residency LRU ----------------------------------------------------------
-
-std::vector<std::vector<std::byte>> fake_graph(std::size_t bytes,
-                                               unsigned char tag) {
-  std::vector<std::vector<std::byte>> bufs;
-  bufs.emplace_back(bytes, std::byte{tag});
-  bufs.emplace_back(bytes / 2, std::byte{tag});
-  return bufs;
-}
-
-std::vector<std::span<const std::byte>> spans_of(
-    const std::vector<std::vector<std::byte>>& bufs) {
-  std::vector<std::span<const std::byte>> spans;
-  for (const auto& b : bufs) spans.emplace_back(b);
-  return spans;
-}
-
-TEST(Residency, LruEvictsLeastRecentlyBoundFirst) {
-  const std::size_t kGraphBytes = 4096 + 2048;
-  // Room for three graphs, not four.
-  GraphResidency cache(3 * kGraphBytes);
-  auto g1 = fake_graph(4096, 1), g2 = fake_graph(4096, 2),
-       g3 = fake_graph(4096, 3), g4 = fake_graph(4096, 4);
-  auto bind = [&cache](std::uint64_t key, const auto& g) {
-    const auto spans = spans_of(g);
-    return cache.bind(key,
-                      std::span<const std::span<const std::byte>>(spans));
-  };
-  EXPECT_FALSE(bind(1, g1));
-  EXPECT_FALSE(bind(2, g2));
-  EXPECT_FALSE(bind(3, g3));
-  EXPECT_EQ(cache.resident_keys(), (std::vector<std::uint64_t>{3, 2, 1}));
-  // Re-binding 1 is a hit and moves it to MRU.
-  EXPECT_TRUE(bind(1, g1));
-  EXPECT_EQ(cache.resident_keys(), (std::vector<std::uint64_t>{1, 3, 2}));
-  // A fourth graph evicts the tail — key 2, the least recently bound.
-  EXPECT_FALSE(bind(4, g4));
-  EXPECT_EQ(cache.resident_keys(), (std::vector<std::uint64_t>{4, 1, 3}));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.unbind();
-}
-
-TEST(Residency, RebuiltGraphAtSameKeyIsRecopiedNotHit) {
-  GraphResidency cache(1 << 20);
-  auto g = fake_graph(4096, 1);
-  auto bind = [&cache](std::uint64_t key, const auto& gr) {
-    const auto spans = spans_of(gr);
-    return cache.bind(key,
-                      std::span<const std::span<const std::byte>>(spans));
-  };
-  EXPECT_FALSE(bind(7, g));
-  EXPECT_TRUE(bind(7, g));
-  // Same key, different buffers (the graph was rebuilt): must re-copy.
-  auto rebuilt = fake_graph(4096, 9);
-  EXPECT_FALSE(bind(7, rebuilt));
-  EXPECT_EQ(cache.stats().misses, 2u);
-  cache.unbind();
-}
-
-TEST(Residency, OversizedGraphStillCachesAlone) {
-  GraphResidency cache(1024);  // smaller than one graph
-  auto g = fake_graph(4096, 1);
-  const auto spans = spans_of(g);
-  EXPECT_FALSE(
-      cache.bind(1, std::span<const std::span<const std::byte>>(spans)));
-  EXPECT_EQ(cache.stats().graphs_resident, 1u);
-  EXPECT_TRUE(
-      cache.bind(1, std::span<const std::span<const std::byte>>(spans)));
-  cache.unbind();
-}
-
-TEST(Residency, TranslateReadsThroughResidentCopy) {
-  const Graph g = make_rmat(6);
-  const auto spans = device_buffer_spans(g);
-  thread_residency().bind(
-      42, std::span<const std::span<const std::byte>>(spans));
-  const void* row = g.row_index().data();
-  const void* t = residency_translate(row);
-  ASSERT_NE(t, row);  // reads go to the resident copy...
-  EXPECT_EQ(std::memcmp(t, row, g.row_index().size_bytes()), 0);  // ...which
-  thread_residency().unbind();                 // holds identical bytes
-  EXPECT_EQ(residency_translate(row), row);  // unbound: identity again
-}
-
-// --- bit-identity with the layer on vs off ----------------------------------
-
-TEST(ArenaGolden, VariantsBitIdenticalArenaOnAndOff) {
-  variants::register_all_variants();
-  const Graph g = make_rmat(8);
-  const auto cuda = Registry::instance().select(Model::Cuda, std::nullopt);
-  ASSERT_FALSE(cuda.empty());
-  RunOptions opts;
-  opts.source = 0;
-  for (const Variant* v : cuda) {
-    set_arena_enabled(true);
-    const RunResult on = v->run(g, opts);
-    set_arena_enabled(false);
-    const RunResult off = v->run(g, opts);
-    set_arena_enabled(true);
-    EXPECT_EQ(bits(on.seconds), bits(off.seconds)) << v->name;
-    EXPECT_EQ(on.iterations, off.iterations) << v->name;
-    EXPECT_EQ(on.output.labels, off.output.labels) << v->name;
-    EXPECT_EQ(on.output.count, off.output.count) << v->name;
-  }
-}
-
-TEST(ArenaGolden, ResidentGraphBitIdenticalToDirectWrap) {
-  variants::register_all_variants();
-  const Graph g = make_rmat(8);
-  const auto cuda = Registry::instance().select(Model::Cuda, Algorithm::BFS);
-  ASSERT_FALSE(cuda.empty());
-  RunOptions opts;
-  opts.source = 0;
-  const auto spans = device_buffer_spans(g);
-  std::size_t checked = 0;
-  for (const Variant* v : cuda) {
-    if (checked >= 4) break;
-    thread_residency().bind(
-        99, std::span<const std::span<const std::byte>>(spans));
-    const RunResult resident = v->run(g, opts);
-    thread_residency().unbind();
-    const RunResult direct = v->run(g, opts);
-    EXPECT_EQ(bits(resident.seconds), bits(direct.seconds)) << v->name;
-    EXPECT_EQ(resident.output.labels, direct.output.labels) << v->name;
-    ++checked;
-  }
-  EXPECT_GT(checked, 0u);
-}
-
 // --- OOM as a sweep Validity outcome ----------------------------------------
 
 class ArenaHarnessTest : public testing::Test {
@@ -325,55 +169,6 @@ TEST_F(ArenaHarnessTest, OomRecordedAsValidityOutcomeNotCrash) {
   const Measurement m2 = h.measure_one(*cuda.front(), h.graphs()[0], &tiny, 1);
   EXPECT_EQ(m.metrics.at("validity.oom_footprint_bytes"),
             m2.metrics.at("validity.oom_footprint_bytes"));
-}
-
-// --- journal byte-identity across the switches ------------------------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(ArenaGolden, SweepJournalBytesIdenticalArenaOnAndOff) {
-  setenv("REPRO_SCALE", "0", 1);
-  const std::string on_path =
-      "arena_journal_on_" + std::to_string(::getpid()) + ".csv";
-  const std::string off_path =
-      "arena_journal_off_" + std::to_string(::getpid()) + ".csv";
-  bench::SweepOptions sw;
-  sw.model = Model::Cuda;
-  sw.algo = Algorithm::BFS;
-  sw.workers = 0;  // sequential: journal append order is cell order
-
-  setenv("REPRO_CACHE", on_path.c_str(), 1);
-  set_arena_enabled(true);
-  set_residency_enabled(true);
-  {
-    bench::Harness h;
-    h.sweep(sw);
-    h.result_store().checkpoint();
-  }
-  setenv("REPRO_CACHE", off_path.c_str(), 1);
-  set_arena_enabled(false);
-  set_residency_enabled(false);
-  {
-    bench::Harness h;
-    h.sweep(sw);
-    h.result_store().checkpoint();
-  }
-  set_arena_enabled(true);
-  set_residency_enabled(true);
-  unsetenv("REPRO_CACHE");
-  unsetenv("REPRO_SCALE");
-
-  const std::string on_bytes = slurp(on_path);
-  const std::string off_bytes = slurp(off_path);
-  std::remove(on_path.c_str());
-  std::remove(off_path.c_str());
-  ASSERT_FALSE(on_bytes.empty());
-  EXPECT_EQ(on_bytes, off_bytes);
 }
 
 }  // namespace
